@@ -88,8 +88,10 @@ overload-smoke:
 	$(GO) test -count=1 -run 'TestOverloadAcceptance|TestOverloadParallelDeterminism|TestAuditTotalsAgreeWithManagerCounters' .
 
 # Cluster-placement gate: a placed fleet under the pressure policy must
-# end with zero audit violations (taichi-sim exits non-zero otherwise),
-# the placement acceptance sweep must hold — pressure beating blind
+# end with zero audit violations (taichi-sim exits non-zero otherwise)
+# with and without faults, a faulted fleet must account for every VM
+# (completed, all-excluded or bounce-budget), the placement acceptance
+# sweep must hold — pressure beating blind
 # round-robin on p99 startup latency and hotspot dwell, migrations
 # inside the per-scan budget, byte-identical output across worker
 # counts — and a populated-but-disabled placement policy must stay
@@ -97,7 +99,8 @@ overload-smoke:
 # fails pre-commit.
 placement-smoke:
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -audit > /dev/null
-	$(GO) test -count=1 -run 'TestPlacementAcceptance|TestPlacementParallelDeterminism|TestFacadeZeroPlacementIdentity' .
+	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -faults default -recover -audit > /dev/null
+	$(GO) test -count=1 -run 'TestPlacementAcceptance|TestPlacementParallelDeterminism|TestFacadeZeroPlacementIdentity|TestFaultedFleetAccountsEveryVM' . ./internal/placement
 
 # One go-test benchmark per paper artifact plus the fleet speedup pair.
 bench-go:

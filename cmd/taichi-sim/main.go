@@ -13,10 +13,10 @@
 //	taichi-sim -workload vmstartup -retry -cp 4 -faults default
 //	taichi-sim -faults default -recover           # self-healing ladder armed
 //	taichi-sim -faults default -recover -audit    # + invariant audit after the run
-//	taichi-sim -workload vmstartup -retry -cp 4 -nodes 8 -failover \
-//	           -faults exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1
 //	taichi-sim -nodes 8 -place pressure           # signal-driven cluster placer
 //	taichi-sim -nodes 8 -place rr -rebalance=false
+//	taichi-sim -nodes 8 -place pressure -recover -audit \
+//	           -faults exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1
 //
 // Modes: taichi, static, type1, type2, naive.
 // Workloads: none, ping, crr, stream, rr, fio, mysql, nginx, vmstartup.
@@ -28,24 +28,19 @@
 //
 // The vmstartup workload drives the cluster VM-creation pipeline;
 // -retry arms per-request deadlines, exponential-backoff retries and
-// dead-lettering, and -failover (fleet mode) re-dispatches requests
-// stranded on unhealthy nodes — static-fallback defense mode or an open
-// CP→DP breaker — to the healthy members.
+// dead-lettering.
 //
 // -recover arms the self-healing layer: the scheduler's de-escalation
 // ladder (static → sw-probe → normal under the default
 // core.RecoveryPolicy) and, with -retry -workload vmstartup, the bounded
 // dead-letter requeue (cluster.DefaultRequeuePolicy, health-gated on the
-// node's defense mode and breaker). In fleet failover mode a member that
-// degraded and climbed back is reported as rejoined rather than failed.
+// node's defense mode and breaker).
 //
 // -overload arms the overload-control layer: the scheduler's brownout
 // ladder (normal → throttle → shed → brownout under the default
 // core.OverloadPolicy) and, with -workload vmstartup, the deterministic
 // admission gate with priority-aware load shedding
-// (cluster.DefaultAdmissionPolicy + DefaultClassify). In fleet failover
-// mode a member that ends its run browned-out is excluded from the
-// re-dispatch ring even when healthy.
+// (cluster.DefaultAdmissionPolicy + DefaultClassify).
 //
 // -place <policy> switches the fleet under the cluster placer
 // (internal/placement): instead of each node running its own arrival
@@ -54,7 +49,19 @@
 // overload ladder's live signals; -rebalance (on by default) also runs
 // the hotspot scan + budgeted live-migration loop. Requires -nodes > 1;
 // -util sets every member's background, -overload arms the admission
-// gates, -audit replays the placer trace too.
+// gates, -audit replays the placer trace too. The per-node scenario
+// flags (-mode, -workload, -cp, -dur, -retry, -simprof, -metrics) are
+// rejected in placed mode.
+//
+// -faults and -recover arm every placed member. A startup that
+// dead-letters on its member bounces back through the placer and is
+// re-placed by the same policy; members whose CP→DP breaker is open or
+// whose overload ladder is on the brownout rung are excluded as
+// targets. A VM the cluster gives up on ends in one of two cluster-level
+// terminals: all-excluded (every member was excluded at decision time)
+// or bounce-budget (it dead-lettered more often than the placer's
+// bounce budget allows). The placement line reports them as
+// cluster-dead and bounce-dead.
 //
 // -audit replays every node's trace through the runtime invariant
 // auditor (internal/audit) after the run and exits non-zero on any
@@ -125,6 +132,20 @@ func newHost(mode string, seed int64) (node *platform.Node, tc *core.TaiChi, h h
 	return node, tc, h, err
 }
 
+// armFaults wires the -faults injector and the -recover ladder onto a
+// Tai Chi node. The injector is nil when spec is zero.
+func armFaults(tc *core.TaiChi, spec faults.Spec, recov bool) *faults.Injector {
+	var inj *faults.Injector
+	if !spec.Zero() {
+		inj = faults.NewInjector(spec)
+		inj.Attach(tc)
+	}
+	if recov {
+		tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+	}
+	return inj
+}
+
 // build assembles the scenario for one seed; it is run once in
 // single-node mode and once per member in fleet mode.
 func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl bool, seed int64, horizon sim.Duration) (*scenario, error) {
@@ -137,22 +158,17 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 	}
 	node := sc.node
 
-	// Fault injection rides the Tai Chi scheduler's defense hooks, so it
-	// needs a mode built around core.TaiChi.
-	wrapCP := func(p kernel.Program) kernel.Program { return p }
-	if !spec.Zero() {
-		if sc.tc == nil {
-			return nil, fmt.Errorf("-faults requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
-		}
-		sc.inj = faults.NewInjector(spec)
-		sc.inj.Attach(sc.tc)
-		wrapCP = sc.inj.WrapCP
+	// Fault injection and recovery ride the Tai Chi scheduler's defense
+	// hooks, so they need a mode built around core.TaiChi.
+	if sc.tc == nil && !spec.Zero() {
+		return nil, fmt.Errorf("-faults requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
 	}
-	if recov {
-		if sc.tc == nil {
-			return nil, fmt.Errorf("-recover requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
-		}
-		sc.tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+	if sc.tc == nil && recov {
+		return nil, fmt.Errorf("-recover requires a Tai Chi scheduler mode (taichi, type1, naive), not %q", mode)
+	}
+	wrapCP := func(p kernel.Program) kernel.Program { return p }
+	if sc.inj = armFaults(sc.tc, spec, recov); sc.inj != nil {
+		wrapCP = sc.inj.WrapCP
 	}
 	if ovl {
 		if sc.tc == nil {
@@ -314,7 +330,7 @@ func build(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov
 }
 
 // collectVMs folds the VM-startup request outcomes into fleet
-// aggregates (also the per-member collector of failover mode).
+// aggregates.
 func collectVMs(a *fleet.Aggregates, m *cluster.Manager) {
 	a.Merge("vm.startup", m.StartupTime)
 	a.Add("vm.issued", float64(m.Issued))
@@ -323,22 +339,10 @@ func collectVMs(a *fleet.Aggregates, m *cluster.Manager) {
 	a.Add("vm.dead_lettered", float64(m.DeadLettered()))
 }
 
-// stranded counts the member's non-terminal requests at the horizon —
-// the queued work a failed node hands to its healthy peers.
-func stranded(m *cluster.Manager) int {
-	n := 0
-	for _, r := range m.Requests() {
-		if !r.Terminal() {
-			n++
-		}
-	}
-	return n
-}
-
-// healthyNode reports whether the node ended its run able to absorb
-// re-dispatched requests: defense ladder above static fallback and the
-// CP→DP breaker not stuck open. Nodes without Tai Chi internals (the
-// static baseline) have neither signal and count as healthy.
+// healthyNode reports whether the node can take its own dead letters
+// back (the -recover requeue gate): defense ladder above static fallback
+// and the CP→DP breaker not stuck open. Nodes without Tai Chi internals
+// (the static baseline) have neither signal and count as healthy.
 func healthyNode(sc *scenario) bool {
 	if sc.tc == nil {
 		return true
@@ -352,72 +356,18 @@ func healthyNode(sc *scenario) bool {
 	return true
 }
 
-// rejoinedNode reports a member that degraded mid-run and climbed all
-// the way back to health by the horizon — fleet.RunFailover keeps such
-// nodes in the dispatch ring and tallies them as failover.nodes_rejoined.
-func rejoinedNode(sc *scenario) bool {
-	if sc.tc == nil {
-		return false
-	}
-	return sc.tc.Sched.RecoveryStats().Rejoined && healthyNode(sc)
-}
-
-// brownedOutNode reports a member that ended its run on the brownout
-// rung — fleet.RunFailover excludes it from the re-dispatch ring even
-// when its defenses held (re-dispatching onto a node that is shedding
-// its own load would defeat the brownout).
-func brownedOutNode(sc *scenario) bool {
-	if sc.tc == nil {
-		return false
-	}
-	return sc.tc.Sched.OverloadState() == core.OverloadBrownout
-}
-
 // auditNode replays the node's trace through the runtime invariant
 // auditor, including the breaker counter snapshot when one is installed.
-func auditNode(sc *scenario) *audit.Report {
+func auditNode(node *platform.Node, tc *core.TaiChi) *audit.Report {
 	var bc *controlplane.BreakerCounters
-	if sc.tc != nil && sc.tc.Breaker != nil {
-		c := sc.tc.Breaker.Counters()
+	if tc != nil && tc.Breaker != nil {
+		c := tc.Breaker.Counters()
 		bc = &c
 	}
-	return audit.Run(sc.node.Tracer.Events(), audit.Options{
+	return audit.Run(node.Tracer.Events(), audit.Options{
 		Breaker:       bc,
-		DroppedEvents: sc.node.Tracer.Dropped(),
+		DroppedEvents: node.Tracer.Dropped(),
 	})
-}
-
-// redispatchVMs replays count stranded VM creations on a fresh,
-// fault-free node of the same mode — the healthy peer absorbing a
-// failed node's queue. The re-run startup latency merges into the same
-// vm.startup histogram, so failover traffic counts against the SLO
-// exactly like first-try traffic.
-func redispatchVMs(mode string, retry bool, seed int64, count int, a *fleet.Aggregates) {
-	node, _, h, err := newHost(mode, seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	ch, ok := h.(cluster.Host)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "mode %q cannot host re-dispatched vmstartup work\n", mode)
-		os.Exit(2)
-	}
-	cfg := cluster.DefaultConfig(1)
-	cfg.VMs = count
-	cfg.VMLifetime = 0
-	if retry {
-		cfg.Retry = cluster.DefaultRetryPolicy()
-	}
-	m := cluster.NewManager(ch, cfg)
-	m.Start()
-	for step := 0; step < 120; step++ {
-		node.Run(node.Now().Add(500 * sim.Millisecond))
-		if int(m.Issued) >= count && m.Terminal() {
-			break
-		}
-	}
-	collectVMs(a, m)
 }
 
 // cpSummary folds the scenario's synth-task outcomes into a histogram.
@@ -446,7 +396,6 @@ func main() {
 	recov := flag.Bool("recover", false, "arm the self-healing layer: scheduler de-escalation ladder, and (with -retry -workload vmstartup) the health-gated dead-letter requeue")
 	overload := flag.Bool("overload", false, "arm the overload-control layer: the core brownout ladder, and (with -workload vmstartup) the priority-aware admission gate and shedder")
 	auditFlag := flag.Bool("audit", false, "replay every node's trace through the runtime invariant auditor after the run; exit 1 on any violation")
-	failover := flag.Bool("failover", false, "fleet mode: re-dispatch requests stranded on unhealthy nodes to healthy ones (-workload vmstartup, -nodes > 1)")
 	place := flag.String("place", "", "cluster placement policy: rr | spread | binpack | pressure (placed fleet mode, -nodes > 1)")
 	rebalance := flag.Bool("rebalance", true, "with -place: run the hotspot scan + budgeted live-migration loop")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot to this file (.prom = Prometheus text, anything else = JSON)")
@@ -460,10 +409,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *failover && (*wl != "vmstartup" || *nodes <= 1) {
-		fmt.Fprintln(os.Stderr, "-failover needs -workload vmstartup and -nodes > 1")
-		os.Exit(2)
-	}
 	if *place != "" {
 		pol := placement.Policy(*place)
 		if !pol.Valid() {
@@ -474,11 +419,20 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-place needs -nodes > 1")
 			os.Exit(2)
 		}
-		if *failover {
-			fmt.Fprintln(os.Stderr, "-place and -failover are different fleet dispatchers; pick one")
+		// The placer drives its own arrivals on fixed Tai Chi members, so
+		// the per-node scenario flags have nothing to act on.
+		var ignored []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "mode", "workload", "cp", "dur", "retry", "simprof", "metrics":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "-place does not use %s\n", strings.Join(ignored, ", "))
 			os.Exit(2)
 		}
-		runPlaced(pol, *rebalance, *overload, *auditFlag, *seed, *util, *nodes, *parallel)
+		runPlaced(pol, *rebalance, *overload, *auditFlag, spec, *recov, *seed, *util, *nodes, *parallel)
 		return
 	}
 
@@ -487,7 +441,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-simprof profiles one engine; use it with -nodes 1")
 			os.Exit(2)
 		}
-		runFleet(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *auditFlag, *failover, *seed, horizon, *nodes, *parallel, *metricsOut)
+		runFleet(*mode, *wl, *cp, *util, spec, *retry, *recov, *overload, *auditFlag, *seed, horizon, *nodes, *parallel, *metricsOut)
 		return
 	}
 
@@ -573,7 +527,7 @@ func main() {
 		writeMetrics(*metricsOut, snapshotScenario(sc))
 	}
 	if *auditFlag {
-		rep := auditNode(sc)
+		rep := auditNode(sc.node, sc.tc)
 		fmt.Print(rep.String())
 		if !rep.Ok() {
 			os.Exit(1)
@@ -648,14 +602,18 @@ func writeMetrics(path string, snap *obs.Snapshot) {
 // runPlaced executes the placed fleet: n Tai Chi nodes under the cluster
 // placer, VM startups arriving at cluster level and routed by the chosen
 // policy, with the rebalance loop optionally live-migrating residents
-// off hotspots. The run drains when every startup settles; output is
+// off hotspots. -faults and -recover arm every member as in fleet mode;
+// a startup that dead-letters on a faulted member bounces back through
+// the placer. The run drains when every startup settles; output is
 // seed-deterministic for any -parallel value.
-func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64, util float64, n, workers int) {
+func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, spec faults.Spec, recov bool, seed int64, util float64, n, workers int) {
 	start := time.Now() //taichi:allow walltime — operator-facing wall-clock cost of the run; never enters simulated state
 	members := make([]*placement.ClusterNode, n)
 	ifaces := make([]placement.Member, n)
+	injs := make([]*faults.Injector, n)
 	for i := 0; i < n; i++ {
 		tc := core.NewDefault(fleet.MemberSeed(seed, i))
+		injs[i] = armFaults(tc, spec, recov)
 		tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
 		if util > 0 {
 			bg := workload.NewBackground(tc.Node, workload.DefaultBackground(util))
@@ -670,6 +628,9 @@ func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64,
 			ccfg.OverloadLevel = func() int { return int(tc.Sched.OverloadState()) }
 		}
 		ccfg.Placement = cluster.DefaultPlacementPolicy()
+		if injs[i] != nil {
+			ccfg.WrapCP = injs[i].WrapCP
+		}
 		mgr := cluster.NewManager(tc, ccfg)
 		mgr.Start()
 		members[i] = placement.NewClusterNode(tc, mgr)
@@ -700,6 +661,15 @@ func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64,
 		st.MaxStartsPerScan, pcfg.MigrationBudget, st.PauseTotal)
 	fmt.Printf("vmstartup: completed=%d dead-lettered=%d startup mean %v p99 %v\n",
 		completed, dead, startup.Mean(), startup.Quantile(0.99))
+	if !spec.Zero() {
+		var injected, detected, recovered uint64
+		for i, m := range members {
+			injected += injs[i].Counts.Total()
+			detected += m.TC.Sched.FaultsDetected.Value()
+			recovered += m.TC.Sched.FaultsRecovered.Value()
+		}
+		fmt.Printf("faults: injected=%d detected=%d recovered=%d\n", injected, detected, recovered)
+	}
 	if auditFlag {
 		violations := 0
 		rep := audit.Run(eng.Tracer().Events(), audit.Options{})
@@ -708,7 +678,7 @@ func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64,
 			fmt.Printf("placer %s", rep.String())
 		}
 		for i, m := range members {
-			nrep := audit.Run(m.TC.Node.Tracer.Events(), audit.Options{})
+			nrep := auditNode(m.TC.Node, m.TC)
 			violations += len(nrep.Violations)
 			if !nrep.Ok() {
 				fmt.Printf("node%d %s", i, nrep.String())
@@ -722,17 +692,13 @@ func runPlaced(pol placement.Policy, rebalance, ovl, auditFlag bool, seed int64,
 }
 
 // runFleet executes the scenario on n independently-seeded nodes via the
-// bounded worker pool and prints the merged fleet-wide statistics. With
-// -failover, members additionally report their health and stranded
-// request count, and the stranded work of unhealthy nodes is re-run on
-// the healthy ones (fleet.RunFailover) with its startup latency merged
-// into the same SLO-facing histogram.
-func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl, auditFlag, failover bool, seed int64, horizon sim.Duration, n, workers int, metricsOut string) {
+// bounded worker pool and prints the merged fleet-wide statistics.
+func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, recov, ovl, auditFlag bool, seed int64, horizon sim.Duration, n, workers int, metricsOut string) {
 	start := time.Now() //taichi:allow walltime — fleet throughput report (nodes/s); results themselves are seed-deterministic
 	// Per-member audit reports, filled by index on the worker pool and
 	// printed in member order afterwards.
 	audits := make([]*audit.Report, n)
-	member := func(idx int, memberSeed int64, a *fleet.Aggregates) *scenario {
+	agg := fleet.RunWorkers(n, seed, workers, func(idx int, memberSeed int64, a *fleet.Aggregates) {
 		sc, err := build(mode, wl, cp, util, spec, retry, recov, ovl, memberSeed, horizon)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -740,7 +706,7 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 		}
 		sc.node.Run(sc.node.Now().Add(horizon))
 		if auditFlag {
-			audits[idx] = auditNode(sc)
+			audits[idx] = auditNode(sc.node, sc.tc)
 		}
 		sc.collect(a)
 		if sc.inj != nil {
@@ -757,29 +723,7 @@ func runFleet(mode, wl string, cp int, util float64, spec faults.Spec, retry, re
 		if sc.node.Stor != nil {
 			a.Add("dp.stor_util", sc.node.Stor.MeanUtilization())
 		}
-		return sc
-	}
-
-	var agg *fleet.Aggregates
-	if failover {
-		agg = fleet.RunFailover(n, seed, workers,
-			func(idx int, memberSeed int64, a *fleet.Aggregates) fleet.NodeReport {
-				sc := member(idx, memberSeed, a)
-				return fleet.NodeReport{
-					Healthy:    healthyNode(sc),
-					Stranded:   stranded(sc.mgr),
-					Rejoined:   rejoinedNode(sc),
-					BrownedOut: brownedOutNode(sc),
-				}
-			},
-			func(idx int, redisSeed int64, count int, a *fleet.Aggregates) {
-				redispatchVMs(mode, retry, redisSeed, count, a)
-			})
-	} else {
-		agg = fleet.RunWorkers(n, seed, workers, func(idx int, memberSeed int64, a *fleet.Aggregates) {
-			member(idx, memberSeed, a)
-		})
-	}
+	})
 	wall := time.Since(start) //taichi:allow walltime — wall-clock half of the speedup table, not simulation input
 	fmt.Printf("mode=%s workload=%s nodes=%d simulated=%v wall=%.2fs events=%.0f\n",
 		mode, wl, agg.Members, horizon, wall.Seconds(), agg.Scalar("events"))

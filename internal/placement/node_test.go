@@ -1,11 +1,14 @@
 package placement
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
+	"repro/internal/controlplane"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/sim"
 )
@@ -111,4 +114,119 @@ func TestClusterNodeDeterminism(t *testing.T) {
 	if t1 != t8 {
 		t.Fatalf("cluster trace length differs: %d vs %d", t1, t8)
 	}
+}
+
+// buildFaultedNode is buildNode under fault injection with the recovery
+// ladder armed: the member shape of taichi-sim -place -faults -recover.
+func buildFaultedNode(seed int64, spec faults.Spec) (*ClusterNode, *faults.Injector) {
+	tc := core.NewDefault(seed)
+	inj := faults.NewInjector(spec)
+	inj.Attach(tc)
+	tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
+	tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
+	cfg := cluster.DefaultConfig(1)
+	cfg.VMLifetime = 0
+	cfg.Retry = cluster.DefaultRetryPolicy()
+	cfg.Placement = cluster.DefaultPlacementPolicy()
+	cfg.WrapCP = inj.WrapCP
+	mgr := cluster.NewManager(tc, cfg)
+	mgr.Start()
+	return NewClusterNode(tc, mgr), inj
+}
+
+// TestFaultedFleetAccountsEveryVM runs a placed fleet under fault
+// injection with recovery armed. Startups that dead-letter on a faulted
+// member bounce back through the placer, so every VM must end completed
+// on some member or dead at cluster level (all-excluded or
+// bounce-budget), every member must settle, every trace must audit
+// clean, and the run must replay identically at 1 and 2 workers. The
+// default spec is absorbed by retries; the harsh one (taichi-sim's
+// documented example) forces bounces.
+func TestFaultedFleetAccountsEveryVM(t *testing.T) {
+	harsh, err := faults.ParseSpec("exit-stall=0.2,cp-crash=0.05,nack=0.2,coord-timeout=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		spec   faults.Spec
+		bounce bool
+	}{
+		{"default", faults.DefaultSpec(), false},
+		{"harsh", harsh, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st1, tr1 := runFaultedFleet(t, tc.spec, 1)
+			st2, tr2 := runFaultedFleet(t, tc.spec, 2)
+			if st1 != st2 {
+				t.Fatalf("stats differ between 1 and 2 workers:\n%+v\n%+v", st1, st2)
+			}
+			if tr1 != tr2 {
+				t.Fatal("placer trace differs between 1 and 2 workers")
+			}
+			if tc.bounce && st1.Replaced+st1.BounceDead == 0 {
+				t.Fatalf("no startup bounced through the placer: %+v", st1)
+			}
+		})
+	}
+}
+
+// runFaultedFleet runs 4 faulted members under 16 VM arrivals, checks
+// the per-run invariants, and returns the stats and the rendered placer
+// trace for the cross-worker comparison.
+func runFaultedFleet(t *testing.T, spec faults.Spec, workers int) (Stats, string) {
+	t.Helper()
+	const members, vms = 4, 16
+	nodes := make([]*ClusterNode, members)
+	ifaces := make([]Member, members)
+	injs := make([]*faults.Injector, members)
+	for i := range nodes {
+		nodes[i], injs[i] = buildFaultedNode(fleet.MemberSeed(3, i), spec)
+		ifaces[i] = nodes[i]
+	}
+	cfg := DefaultConfig()
+	cfg.VMs = vms
+	cfg.Workers = workers
+	e := NewEngine(3, cfg, ifaces)
+	st := e.Run()
+
+	var completed, injected uint64
+	for i, n := range nodes {
+		if !n.Settled() {
+			t.Fatalf("workers=%d: member %d not settled", workers, i)
+		}
+		completed += n.Mgr.Completed
+		injected += injs[i].Counts.Total()
+		var bc *controlplane.BreakerCounters
+		if n.TC.Breaker != nil {
+			c := n.TC.Breaker.Counters()
+			bc = &c
+		}
+		if rep := audit.Run(n.TC.Node.Tracer.Events(), audit.Options{Breaker: bc}); !rep.Ok() {
+			t.Fatalf("workers=%d: member %d audit violations:\n%s", workers, i, rep.String())
+		}
+	}
+	if injected == 0 {
+		t.Fatalf("workers=%d: no fault was injected", workers)
+	}
+	if rep := audit.Run(e.Tracer().Events(), audit.Options{}); !rep.Ok() {
+		t.Fatalf("workers=%d: placer audit violations:\n%s", workers, rep.String())
+	}
+	for vm := 1; vm <= vms; vm++ {
+		done := false
+		for _, n := range nodes {
+			if r := n.Request(vm); r != nil && r.State() == cluster.ReqCompleted {
+				done = true
+			}
+		}
+		_, dead := e.ClusterDead()[vm]
+		if done == dead {
+			t.Fatalf("workers=%d: vm %d completed=%v cluster-dead=%v, want exactly one", workers, vm, done, dead)
+		}
+	}
+	if got := int(completed) + st.AllExcluded + st.BounceDead; got != vms {
+		t.Fatalf("workers=%d: completed %d + all-excluded %d + bounce-dead %d = %d, want %d",
+			workers, completed, st.AllExcluded, st.BounceDead, got, vms)
+	}
+	return st, fmt.Sprint(e.Tracer().Events())
 }

@@ -120,6 +120,10 @@ const (
 	// excluded member sets ("hot=1,4 excl=0,2") — the decision-time
 	// exclusion record the audit replayer checks placements against.
 	KindRebalanceScan
+
+	// kindCount sizes the tracer's kind filter. It must stay after the
+	// last kind; being an untyped iota, it is a count, not a Kind.
+	kindCount = iota
 )
 
 var kindNames = map[Kind]string{
@@ -192,7 +196,7 @@ type Event struct {
 type Tracer struct {
 	events   []Event
 	filtered bool
-	enabled  [32]bool // indexed by Kind when filtered
+	enabled  [kindCount]bool // indexed by Kind when filtered
 	dropped  uint64
 	limit    int
 }
@@ -207,7 +211,7 @@ func New(limit int) *Tracer {
 // disables recording entirely.
 func (t *Tracer) EnableOnly(kinds ...Kind) {
 	t.filtered = true
-	t.enabled = [32]bool{}
+	t.enabled = [kindCount]bool{}
 	for _, k := range kinds {
 		t.enabled[k] = true
 	}

@@ -27,6 +27,17 @@ func TestEmitAndFilter(t *testing.T) {
 	}
 }
 
+func TestFilterEveryKind(t *testing.T) {
+	for _, k := range Kinds() {
+		tr := New(0)
+		tr.EnableOnly(k)
+		tr.Emit(10, k, 0, 0, "")
+		if tr.Len() != 1 || tr.Events()[0].Kind != k {
+			t.Fatalf("EnableOnly(%s): recorded %d events, want the one emitted", k, tr.Len())
+		}
+	}
+}
+
 func TestLimitDrops(t *testing.T) {
 	tr := New(2)
 	for i := 0; i < 5; i++ {
