@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke chaos-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pkg chaos-smoke audit-smoke overload-smoke placement-smoke
 
-check: fmt vet lint build test-race bench-smoke audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build test-race bench-smoke bench-pkg audit-smoke overload-smoke placement-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -64,6 +64,13 @@ bench-smoke:
 	$(GO) run ./cmd/taichi-bench -benchout bench_smoke.json -scenarios chaos -iters 1
 	$(GO) run ./cmd/taichi-bench -validate bench_smoke.json
 	@rm -f bench_smoke.json
+
+# Per-package benchmarks (event queue, delay line, accelerator
+# pipeline) at a fixed 100 iterations: fast enough for `make check`,
+# and enough to keep them compiling and running. For real numbers, run
+# them with a larger -benchtime and -count.
+bench-pkg:
+	$(GO) test -run '^$$' -bench . -benchtime 100x -benchmem ./internal/sim ./internal/accel
 
 # Invariant-auditor gate: a faulted, recovery-armed run must finish with
 # zero audit violations (taichi-sim exits non-zero otherwise), and the

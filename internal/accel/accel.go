@@ -72,12 +72,14 @@ type Probe struct {
 	// Misses counts arrival checks swallowed by MissCheck.
 	Misses uint64
 
-	states map[int]CoreState
+	// states is indexed by core; cores past its end are in P-state.
+	states []CoreState
 	// pending marks cores with a preemption request already in flight;
 	// the request is level-triggered, so further packet arrivals for the
 	// same V-state episode do not fire duplicate IRQs. Cleared when the
-	// scheduler flips the core back to P-state.
-	pending map[int]bool
+	// scheduler flips the core back to P-state. Indexed by core, like
+	// states.
+	pending []bool
 	// IRQs counts probe interrupts fired, for overhead accounting.
 	IRQs uint64
 
@@ -92,17 +94,22 @@ type Probe struct {
 
 // NewProbe returns an enabled probe with every core in P-state.
 func NewProbe(irqLatency sim.Duration) *Probe {
-	return &Probe{Enabled: true, IRQLatency: irqLatency, states: map[int]CoreState{}, pending: map[int]bool{}}
+	return &Probe{Enabled: true, IRQLatency: irqLatency}
 }
 
 // SetState updates a core's V/P state (called by the vCPU scheduler,
 // steps 5 and 4 of Figure 7b). Flipping a core to V-state while packets
 // for it are still inside the preprocessing pipeline fires the IRQ
 // immediately — those packets passed the arrival check before the flip.
+// core must not be negative.
 func (p *Probe) SetState(core int, s CoreState) {
+	if core >= len(p.states) {
+		p.states = grown(p.states, core)
+		p.pending = grown(p.pending, core)
+	}
 	p.states[core] = s
 	if s == PState {
-		delete(p.pending, core)
+		p.pending[core] = false
 		return
 	}
 	if p.Enabled && p.inFlight != nil && p.inFlight(core) > 0 {
@@ -115,14 +122,24 @@ func (p *Probe) SetState(core int, s CoreState) {
 }
 
 // State returns the core's current state (default P-state).
-func (p *Probe) State(core int) CoreState { return p.states[core] }
+func (p *Probe) State(core int) CoreState {
+	if core < 0 || core >= len(p.states) {
+		return PState
+	}
+	return p.states[core]
+}
+
+// grown returns s extended with zero values so that s[core] is valid.
+func grown[T any](s []T, core int) []T {
+	return append(s, make([]T, core+1-len(s))...)
+}
 
 // inspect runs the probe's arrival check: in V-state it fires the IRQ.
 // The state is NOT flipped here — the vCPU scheduler transitions it to
 // P-state once the DP context is restored, which also makes repeated
 // arrivals during the switch harmless (the scheduler ignores duplicates).
 func (p *Probe) inspect(core int) {
-	if !p.Enabled || p.states[core] != VState {
+	if !p.Enabled || p.State(core) != VState {
 		return
 	}
 	if p.MissCheck != nil && p.MissCheck(core) {
@@ -138,7 +155,7 @@ func (p *Probe) inspect(core int) {
 // cores, and a spurious request while the DP owns the core would poison
 // the level-triggered pending latch). Reports whether the IRQ fired.
 func (p *Probe) InjectSpurious(core int) bool {
-	if !p.Enabled || p.states[core] != VState || p.pending[core] {
+	if !p.Enabled || p.State(core) != VState || p.pending[core] {
 		return false
 	}
 	p.fire(core, "spurious")
@@ -188,11 +205,16 @@ type Pipeline struct {
 	probe   *Probe
 	deliver func(core int, p *Packet)
 	nextID  int64
+	// line carries every packet through preprocess and transfer. The
+	// stages complete back-to-back with no intervening decision point
+	// and a fixed total latency, so packets leave in arrival order.
+	line *sim.DelayLine[*Packet]
 
 	// Injected counts packets accepted into the pipeline.
 	Injected uint64
 
-	inFlight map[int]int
+	// inFlight is indexed by destination core.
+	inFlight []int
 }
 
 // NewPipeline builds the accelerator datapath. deliver lands finished
@@ -202,7 +224,8 @@ func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tra
 	if deliver == nil {
 		panic("accel: pipeline needs a delivery sink")
 	}
-	pl := &Pipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver, inFlight: map[int]int{}}
+	pl := &Pipeline{engine: engine, cfg: cfg, tracer: tracer, probe: probe, deliver: deliver}
+	pl.line = sim.NewDelayLine(engine, cfg.Preprocess+cfg.Transfer, "accel.pipeline", pl.complete)
 	if probe != nil {
 		probe.inFlight = pl.InFlight
 		probe.engine = engine
@@ -213,14 +236,20 @@ func NewPipeline(engine *sim.Engine, cfg Config, probe *Probe, tracer *trace.Tra
 
 // InFlight returns the number of packets currently in the pipeline for a
 // destination core.
-func (pl *Pipeline) InFlight(core int) int { return pl.inFlight[core] }
+func (pl *Pipeline) InFlight(core int) int {
+	if core < 0 || core >= len(pl.inFlight) {
+		return 0
+	}
+	return pl.inFlight[core]
+}
 
 // Probe returns the attached hardware workload probe (possibly nil).
 func (pl *Pipeline) Probe() *Probe { return pl.probe }
 
 // Inject accepts a packet at the accelerator's ingress. The probe check
 // happens *before* preprocessing (Figure 10), which is what creates the
-// 3.2 µs window that hides the 2 µs vCPU exit.
+// 3.2 µs window that hides the 2 µs vCPU exit. p.Core must not be
+// negative.
 func (pl *Pipeline) Inject(p *Packet) {
 	now := pl.engine.Now()
 	p.Arrival = now
@@ -229,6 +258,9 @@ func (pl *Pipeline) Inject(p *Packet) {
 		p.ID = pl.nextID
 	}
 	pl.Injected++
+	if p.Core >= len(pl.inFlight) {
+		pl.inFlight = grown(pl.inFlight, p.Core)
+	}
 	pl.inFlight[p.Core]++
 	pl.tracer.Emit(now, trace.KindPacketArrive, p.Core, p.ID, "")
 
@@ -236,15 +268,18 @@ func (pl *Pipeline) Inject(p *Packet) {
 		pl.probe.inspect(p.Core)
 	}
 
-	// The preprocess and transfer stages complete back-to-back with no
-	// intervening decision point, so one simulation event covers both;
-	// the stage-boundary trace record carries its true timestamp.
-	pl.engine.ScheduleNamed(pl.cfg.Preprocess+pl.cfg.Transfer, "accel.pipeline", func() {
-		pl.tracer.Emit(now.Add(pl.cfg.Preprocess), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
-		pl.tracer.Emit(pl.engine.Now(), trace.KindPacketDelivered, p.Core, p.ID, "")
-		pl.inFlight[p.Core]--
-		pl.deliver(p.Core, p)
-	})
+	pl.line.Push(p)
+}
+
+// complete lands a packet that has left the transfer stage. One event
+// covers both stages; the stage-boundary trace record carries its true
+// timestamp, one transfer time before delivery.
+func (pl *Pipeline) complete(p *Packet) {
+	now := pl.engine.Now()
+	pl.tracer.Emit(now.Add(-pl.cfg.Transfer), trace.KindPacketPreprocessDone, p.Core, p.ID, "")
+	pl.tracer.Emit(now, trace.KindPacketDelivered, p.Core, p.ID, "")
+	pl.inFlight[p.Core]--
+	pl.deliver(p.Core, p)
 }
 
 // Window returns the total preprocessing window (stages ②+③).

@@ -137,3 +137,65 @@ func TestNilSinkPanics(t *testing.T) {
 	}()
 	NewPipeline(sim.NewEngine(), DefaultConfig(), nil, nil, nil)
 }
+
+func TestUnseenAndNegativeCoresReadIdle(t *testing.T) {
+	e := sim.NewEngine()
+	probe := NewProbe(0)
+	pl := NewPipeline(e, DefaultConfig(), probe, nil, func(int, *Packet) {})
+	pl.Inject(&Packet{Core: 1})
+	for _, core := range []int{-1, 0, 2, 1000} {
+		if n := pl.InFlight(core); n != 0 {
+			t.Errorf("InFlight(%d) = %d, want 0", core, n)
+		}
+		if s := probe.State(core); s != PState {
+			t.Errorf("State(%d) = %v, want P", core, s)
+		}
+		if probe.InjectSpurious(core) {
+			t.Errorf("InjectSpurious(%d) fired on a P-state core", core)
+		}
+	}
+	if n := pl.InFlight(1); n != 1 {
+		t.Fatalf("InFlight(1) = %d, want 1", n)
+	}
+}
+
+func TestVStateFlipSeesPacketsInsideLine(t *testing.T) {
+	e := sim.NewEngine()
+	tr := trace.New(0)
+	probe := NewProbe(500 * sim.Nanosecond)
+	var irqs []int
+	probe.OnIRQ = func(core int) { irqs = append(irqs, core) }
+	pl := NewPipeline(e, DefaultConfig(), probe, tr, func(int, *Packet) {})
+	for i := 0; i < 3; i++ {
+		pl.Inject(&Packet{Core: 5})
+	}
+	// Mid-pipeline: core 5 has three packets inside the line, core 6 none.
+	e.At(sim.Time(sim.Microsecond), func() {
+		if n := pl.InFlight(5); n != 3 {
+			t.Errorf("InFlight(5) = %d mid-pipeline, want 3", n)
+		}
+		probe.SetState(5, VState)
+		probe.SetState(6, VState)
+	})
+	// After delivery: a fresh V-state episode on core 5 finds nothing.
+	e.At(sim.Time(5*sim.Microsecond), func() {
+		if n := pl.InFlight(5); n != 0 {
+			t.Errorf("InFlight(5) = %d after delivery, want 0", n)
+		}
+		probe.SetState(5, PState)
+		probe.SetState(5, VState)
+	})
+	e.RunUntilIdle()
+	if probe.IRQs != 1 || len(irqs) != 1 || irqs[0] != 5 {
+		t.Fatalf("IRQs = %d to cores %v, want one to core 5", probe.IRQs, irqs)
+	}
+	var notes []string
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindProbeIRQ {
+			notes = append(notes, ev.Note)
+		}
+	}
+	if len(notes) != 1 || notes[0] != "inflight-at-vstate" {
+		t.Fatalf("probe IRQ records %q, want one inflight-at-vstate", notes)
+	}
+}

@@ -1,16 +1,12 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Event is a scheduled callback in simulated time. Events are created via
 // Engine.Schedule / Engine.At and may be cancelled before they fire.
 type Event struct {
 	when     Time
 	seq      uint64 // FIFO tiebreak among events at the same instant
-	index    int    // heap index, -1 when not queued
 	fn       func()
 	canceled bool
 	name     string // optional label for debugging/tracing
@@ -20,7 +16,9 @@ type Event struct {
 func (e *Event) When() Time { return e.when }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel is O(log n).
+// already-cancelled event is a no-op. Cancel is O(1): it only sets a flag,
+// and the engine drops the cancelled event when it reaches the front of
+// the queue.
 func (e *Event) Cancel() { e.canceled = true }
 
 // Canceled reports whether Cancel has been called on the event.
@@ -29,34 +27,71 @@ func (e *Event) Canceled() bool { return e.canceled }
 // Name returns the optional debug label attached to the event.
 func (e *Event) Name() string { return e.name }
 
-// eventQueue is a binary min-heap ordered by (when, seq).
+// before is the queue order: earlier instant first, then schedule order.
+// Every queued event holds a distinct seq, so the order is total and the
+// pop sequence does not depend on the heap's shape.
+func before(a, b *Event) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap ordered by before. Four children per
+// node halve the depth of a binary heap, so a push climbs half as many
+// levels and a pop moves half as many slots.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !before(ev, h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	h[i] = ev
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		least := first
+		end := first + 4
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if before(h[c], h[least]) {
+				least = c
+			}
+		}
+		if !before(h[least], last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
 }
 
 // Engine is a deterministic discrete-event simulator. It is not safe for
@@ -89,8 +124,9 @@ func (e *Engine) Now() Time { return e.now }
 // instrumentation and runaway detection in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently queued (including
-// cancelled events that have not yet been popped).
+// Pending returns the number of entries currently queued, including
+// cancelled events that have not yet been popped. A DelayLine counts as
+// one entry while it holds values, however many it holds.
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fn to run after delay. A negative delay panics: the past
@@ -119,11 +155,16 @@ func (e *Engine) schedule(t Time, name string, fn func()) *Event {
 	}
 	ev := &Event{when: t, seq: e.seq, fn: fn, name: name}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.enqueue(ev)
+	return ev
+}
+
+// enqueue pushes an armed event onto the queue.
+func (e *Engine) enqueue(ev *Event) {
+	e.queue.push(ev)
 	if e.prof != nil {
 		e.prof.noteSchedule(len(e.queue))
 	}
-	return ev
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -135,7 +176,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // without executing and without counting as a step.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -208,7 +249,7 @@ func (e *Engine) RunUntilIdle() uint64 {
 func (e *Engine) peek() *Event {
 	for len(e.queue) > 0 {
 		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			continue
 		}
 		return e.queue[0]

@@ -108,22 +108,24 @@ func (b *Background) launch(core int, work sim.Duration, storage bool, idx int) 
 		CalmHold:          b.cfg.CalmHold,
 		BurstHold:         b.cfg.BurstHold,
 	}
-	var next func()
-	next = func() {
+	// The arrival callback is bound once per generator, so each train
+	// costs one engine event and no closure.
+	var arrive func()
+	next := func() {
 		if b.stopped {
 			return
 		}
-		gap := mmpp.Next(r, b.node.Now())
-		b.node.Engine.Schedule(gap, func() {
-			if b.stopped {
-				return
-			}
-			for k := 0; k < train; k++ {
-				b.Packets.Inc()
-				b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
-			}
-			next()
-		})
+		b.node.Engine.Schedule(mmpp.Next(r, b.node.Now()), arrive)
+	}
+	arrive = func() {
+		if b.stopped {
+			return
+		}
+		for k := 0; k < train; k++ {
+			b.Packets.Inc()
+			b.node.Pipe.Inject(&accel.Packet{Core: core, Work: work})
+		}
+		next()
 	}
 	next()
 }
