@@ -33,9 +33,13 @@ func overloadVals(t *testing.T, workers int) (string, map[string]float64) {
 // offered load the gate must protect latency-critical goodput (>= 90% of
 // its 1x completion fraction), batch must absorb the shedding (strict
 // priority), and the brownout ladder must de-escalate back to normal at
-// every level once the spike passes.
+// every level once the spike passes. The sweep's full text is pinned to
+// testdata/golden/overload_quick.txt.
 func TestOverloadAcceptance(t *testing.T) {
-	_, vals := overloadVals(t, 1)
+	text, vals := overloadVals(t, 1)
+	if want := golden(t, "overload_quick.txt"); text != want {
+		t.Errorf("overload sweep drifted from its golden:\n--- golden\n%s--- got\n%s", want, text)
+	}
 
 	frac := func(class, level string) float64 {
 		issued := vals[fmt.Sprintf("ovl_issued_%s_%s", class, level)]

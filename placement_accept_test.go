@@ -33,9 +33,13 @@ func placementVals(t *testing.T, workers int) (string, map[string]float64) {
 // the skewed fleet the signal-driven pressure policy must beat blind
 // round-robin on both p99 VM-startup latency and hotspot dwell, every
 // policy's migrations must respect the per-scan budget, every run must
-// settle, and the placer+node traces must replay audit-clean.
+// settle, and the placer+node traces must replay audit-clean. The sweep's
+// full text is pinned to testdata/golden/placement_quick.txt.
 func TestPlacementAcceptance(t *testing.T) {
-	_, vals := placementVals(t, 1)
+	text, vals := placementVals(t, 1)
+	if want := golden(t, "placement_quick.txt"); text != want {
+		t.Errorf("placement sweep drifted from its golden:\n--- golden\n%s--- got\n%s", want, text)
+	}
 
 	for _, pol := range []string{"rr", "spread", "binpack", "pressure"} {
 		if vals["plc_settled_"+pol] != 1 {
