@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pkg chaos-smoke audit-smoke overload-smoke placement-smoke
+.PHONY: check fmt vet lint build test test-race race bench bench-go bench-smoke bench-pkg chaos-smoke audit-smoke overload-smoke placement-smoke trace-smoke
 
-check: fmt vet lint build test-race bench-smoke bench-pkg audit-smoke overload-smoke placement-smoke
+check: fmt vet lint build test-race bench-smoke bench-pkg audit-smoke overload-smoke placement-smoke trace-smoke
 
 # Determinism lint: wall clocks, global RNG, unordered map iteration,
 # core concurrency, and seedless constructors. Zero diagnostics is the
@@ -108,6 +108,15 @@ placement-smoke:
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -util 0.3 -audit > /dev/null
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -faults default -recover -audit > /dev/null
 	$(GO) test -count=1 -run 'TestPlacementAcceptance|TestPlacementParallelDeterminism|TestFacadeZeroPlacementIdentity|TestFaultedFleetAccountsEveryVM' . ./internal/placement
+
+# Trace-export gate: a faulted, recovery-armed VM-startup node is traced,
+# its spans derived and exported as Chrome trace-event JSON to a temp
+# file. Part of `make check` so a broken trace path, span derivation or
+# exporter fails pre-commit, not only in the CI artifact upload.
+trace-smoke:
+	@out=$$(mktemp); \
+	$(GO) run ./cmd/taichi-trace -mode taichi -workload vmstartup -retry -faults -recover -dur 500ms -export $$out > /dev/null; \
+	rc=$$?; rm -f $$out; exit $$rc
 
 # One go-test benchmark per paper artifact plus the fleet speedup pair.
 bench-go:

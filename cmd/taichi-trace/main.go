@@ -27,15 +27,13 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -112,24 +110,19 @@ func main() {
 // horizon. Everything inside is a pure function of (mode, workload,
 // seed, horizon, flags) — the multi-node export depends on it.
 func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, withFaults, withRecover bool) *platform.Node {
-	var node *platform.Node
-	var spawn func(string, kernel.Program) *kernel.Thread
-	var host cluster.Host
-	switch mode {
-	case "static":
-		b := baseline.NewStaticDefault(seed)
-		node, spawn, host = b.Node, b.SpawnCP, b
-	case "taichi":
-		tc := core.NewDefault(seed)
-		if withFaults {
-			inj := faults.NewInjector(faults.DefaultSpec())
-			inj.Attach(tc)
-		}
-		if withRecover {
-			tc.Sched.EnableRecovery(core.DefaultRecoveryPolicy())
-		}
-		node, spawn, host = tc.Node, tc.SpawnCP, tc
+	spec := scenario.Spec{Seed: seed, Mode: scenario.Mode(mode), Recover: withRecover}
+	if withFaults {
+		spec.Faults = faults.DefaultSpec()
 	}
+	if workload == "vmstartup" {
+		cfg := cluster.DefaultConfig(4)
+		if retry {
+			cfg.Retry = cluster.DefaultRetryPolicy()
+		}
+		spec.VMs = &cfg
+	}
+	n := scenario.Must(scenario.New(spec)) // main has validated mode and flags
+	node, spawn := n.Node, n.Host.SpawnCP
 
 	switch workload {
 	case "cp":
@@ -147,12 +140,7 @@ func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, wit
 		}
 		churn(0)
 	case "vmstartup":
-		cfg := cluster.DefaultConfig(4)
-		if retry {
-			cfg.Retry = cluster.DefaultRetryPolicy()
-		}
-		mgr := cluster.NewManager(host, cfg)
-		mgr.Start()
+		n.Mgr.Start()
 	}
 
 	node.Run(node.Now().Add(horizon))

@@ -13,9 +13,9 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/platform"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // Fig02Motivation reproduces Figure 2: on the static baseline, VM startup
@@ -35,13 +35,13 @@ func Fig02Motivation(scale Scale) *Result {
 	// pool and assemble the table in density order afterwards.
 	fleet.ForEach(len(densities), scale.Workers, func(i int) {
 		density := densities[i]
-		b := baseline.NewStaticDefault(100 + int64(density))
-		bg := workload.NewBackground(b.Node, coarseBackground(0.30))
-		bg.Start()
-		mgr := cluster.NewManager(b, cluster.DefaultConfig(density))
-		mgr.Start()
-		b.Run(sim.Time(scale.dur(20 * sim.Second)))
-		points[i] = point{norm: mgr.NormalizedStartup(), cpMs: mgr.MeanCPExec().Milliseconds()}
+		bg, cfg := coarseBackground(0.30), cluster.DefaultConfig(density)
+		n := scenario.Must(scenario.New(scenario.Spec{
+			Seed: 100 + int64(density), Mode: scenario.ModeStatic, Background: &bg, VMs: &cfg,
+		}))
+		n.Mgr.Start()
+		n.Node.Run(sim.Time(scale.dur(20 * sim.Second)))
+		points[i] = point{norm: n.Mgr.NormalizedStartup(), cpMs: n.Mgr.MeanCPExec().Milliseconds()}
 	})
 	cpBase := points[0].cpMs
 	for i, density := range densities {

@@ -5,12 +5,11 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/placement"
+	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // PlacementSweep compares cluster placement policies over a skewed
@@ -113,11 +112,10 @@ func placementFleet(pol placement.Policy, scale Scale, baseSeed int64) placement
 	// without leaving normal.
 	const vmFootprint = 0.06
 
+	scs := make([]*scenario.Node, nodes)
 	members := make([]*placement.ClusterNode, nodes)
 	ifaces := make([]placement.Member, nodes)
 	for i := 0; i < nodes; i++ {
-		tc := core.NewDefault(fleet.MemberSeed(baseSeed, i))
-		tc.Sched.EnableOverload(core.DefaultOverloadPolicy())
 		util := lightUtil
 		if i < heavyNodes {
 			util = heavyUtil
@@ -130,8 +128,6 @@ func placementFleet(pol placement.Policy, scale Scale, baseSeed int64) placement
 			// healthy and drowning the rr-vs-pressure comparison in noise.
 			bgCfg.BurstUtilization = 0.5
 		}
-		bg := workload.NewBackground(tc.Node, bgCfg)
-		bg.Start()
 		ccfg := cluster.DefaultConfig(1)
 		ccfg.VMLifetime = 0
 		ccfg.Retry = cluster.DefaultRetryPolicy()
@@ -157,11 +153,13 @@ func placementFleet(pol placement.Policy, scale Scale, baseSeed int64) placement
 		ccfg.Admission.BurstFactor = [4]float64{1.0, 0.25, 0.15, 0.1}
 		ccfg.Admission.RateFactor = [4]float64{1.0, 0.15, 0.08, 0.04}
 		ccfg.Classify = cluster.DefaultClassify
-		ccfg.OverloadLevel = func() int { return int(tc.Sched.OverloadState()) }
 		ccfg.Placement = cluster.DefaultPlacementPolicy()
-		mgr := cluster.NewManager(tc, ccfg)
-		mgr.Start()
-		members[i] = placement.NewClusterNode(tc, mgr)
+		scs[i] = scenario.Must(scenario.New(scenario.Spec{
+			Seed: fleet.MemberSeed(baseSeed, i), Mode: scenario.ModeTaiChi,
+			Overload: true, Background: &bgCfg, VMs: &ccfg,
+		}))
+		scs[i].Mgr.Start()
+		members[i] = placement.NewClusterNode(scs[i].TC, scs[i].Mgr)
 		members[i].VMDPUtil = vmFootprint
 		ifaces[i] = members[i]
 	}
@@ -226,9 +224,8 @@ func placementFleet(pol placement.Policy, scale Scale, baseSeed int64) placement
 	// (zero is part of the acceptance contract).
 	rep := audit.Run(eng.Tracer().Events(), audit.Options{})
 	row.violations += len(rep.Violations)
-	for _, m := range members {
-		nrep := audit.Run(m.TC.Node.Tracer.Events(), audit.Options{})
-		row.violations += len(nrep.Violations)
+	for _, sn := range scs {
+		row.violations += len(sn.Audit().Violations)
 	}
 	return row
 }
