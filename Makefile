@@ -109,13 +109,16 @@ placement-smoke:
 	$(GO) run ./cmd/taichi-sim -nodes 4 -place pressure -faults default -recover -audit > /dev/null
 	$(GO) test -count=1 -run 'TestPlacementAcceptance|TestPlacementParallelDeterminism|TestFacadeZeroPlacementIdentity|TestFaultedFleetAccountsEveryVM' . ./internal/placement
 
-# Trace-export gate: a faulted, recovery-armed VM-startup node is traced,
-# its spans derived and exported as Chrome trace-event JSON to a temp
-# file. Part of `make check` so a broken trace path, span derivation or
-# exporter fails pre-commit, not only in the CI artifact upload.
+# Trace-export gate: a faulted, recovery-armed node is traced under each
+# workload (VM startup, and the default CP mix whose monitors and churn
+# tasks run under the injector's crash and hang classes), its spans
+# derived and exported as Chrome trace-event JSON to a temp file. Part of
+# `make check` so a broken trace path, span derivation or exporter fails
+# pre-commit, not only in the CI artifact upload.
 trace-smoke:
 	@out=$$(mktemp); \
-	$(GO) run ./cmd/taichi-trace -mode taichi -workload vmstartup -retry -faults -recover -dur 500ms -export $$out > /dev/null; \
+	$(GO) run ./cmd/taichi-trace -mode taichi -workload vmstartup -retry -faults -recover -dur 500ms -export $$out > /dev/null && \
+	$(GO) run ./cmd/taichi-trace -mode taichi -workload cp -faults -recover -dur 500ms -export $$out > /dev/null; \
 	rc=$$?; rm -f $$out; exit $$rc
 
 # One go-test benchmark per paper artifact plus the fleet speedup pair.

@@ -76,7 +76,7 @@ func main() {
 	horizon := sim.Duration(durFlag.Nanoseconds())
 	traces := make([]obs.NodeTrace, *nodes)
 	fleet.ForEach(*nodes, *parallel, func(i int) {
-		node := runNode(*mode, *workload, fleet.MemberSeed(*seed, i), horizon, *retry, *withFaults, *withRecover)
+		node := runNode(*mode, *workload, fleet.MemberSeed(*seed, i), horizon, *retry, *withFaults, *withRecover).Node
 		traces[i] = obs.NodeTrace{
 			Label:  fmt.Sprintf("%s-node%d", *mode, i),
 			Events: append([]trace.Event{}, node.Tracer.Events()...),
@@ -108,8 +108,9 @@ func main() {
 
 // runNode builds one node, applies the workload, and runs it to the
 // horizon. Everything inside is a pure function of (mode, workload,
-// seed, horizon, flags) — the multi-node export depends on it.
-func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, withFaults, withRecover bool) *platform.Node {
+// seed, horizon, flags) — the multi-node export depends on it. CP
+// programs run under the injector's crash and hang classes.
+func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, withFaults, withRecover bool) *scenario.Node {
 	spec := scenario.Spec{Seed: seed, Mode: scenario.Mode(mode), Recover: withRecover}
 	if withFaults {
 		spec.Faults = faults.DefaultSpec()
@@ -129,13 +130,13 @@ func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, wit
 		// A production-like CP mix (monitors + synth churn), the §3.2 setup.
 		for i := 0; i < 12; i++ {
 			spawn(fmt.Sprintf("monitor%d", i),
-				controlplane.Monitor(controlplane.DefaultMonitor(), node.Stream(fmt.Sprintf("churn.mon%d", i))))
+				n.WrapCP(controlplane.Monitor(controlplane.DefaultMonitor(), node.Stream(fmt.Sprintf("churn.mon%d", i)))))
 		}
 		cfg := controlplane.DefaultSynthCP()
 		r := node.Stream("churn")
 		var churn func(i int)
 		churn = func(i int) {
-			spawn(fmt.Sprintf("churn%d", i), controlplane.SynthCP(cfg, r))
+			spawn(fmt.Sprintf("churn%d", i), n.WrapCP(controlplane.SynthCP(cfg, r)))
 			node.Engine.Schedule(sim.Exponential(r, 40*sim.Millisecond), func() { churn(i + 1) })
 		}
 		churn(0)
@@ -144,7 +145,7 @@ func runNode(mode, workload string, seed int64, horizon sim.Duration, retry, wit
 	}
 
 	node.Run(node.Now().Add(horizon))
-	return node
+	return n
 }
 
 // analyze prints the single-node trace analyses (census, IPI latency,

@@ -169,11 +169,7 @@ func (p RetryPolicy) normalize() RetryPolicy {
 // backoff returns the delay before re-issuing after failed attempt n
 // (1-based), before jitter.
 func (p RetryPolicy) backoff(n int) sim.Duration {
-	d := float64(p.BaseBackoff)
-	for i := 1; i < n; i++ {
-		d *= p.BackoffFactor
-	}
-	return sim.Duration(d)
+	return sim.Backoff{Base: p.BaseBackoff, Factor: p.BackoffFactor}.Step(n - 1)
 }
 
 // RequeuePolicy governs bounded dead-letter resurrection: a

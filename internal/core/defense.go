@@ -108,8 +108,8 @@ func (c *DefenseConfig) applyDefaults() {
 // zero-fault runs remain byte-identical.
 type defenseState struct {
 	cfg       DefenseConfig
-	mode      DefenseMode
-	missTimes []sim.Time // probe-miss detections inside the sliding window
+	mode      DefenseMode // written only by setMode
+	misses    sim.Window  // probe-miss detections inside ProbeMissWindow
 	teardowns int
 }
 
@@ -123,7 +123,7 @@ func (s *Scheduler) EnableDefense(cfg DefenseConfig) {
 		return
 	}
 	cfg.applyDefaults()
-	s.defense = &defenseState{cfg: cfg}
+	s.defense = &defenseState{cfg: cfg, misses: sim.Window{Span: cfg.ProbeMissWindow}}
 	if cfg.SchedWatchdogPeriod > 0 {
 		s.kern.StartSchedWatchdog(cfg.SchedWatchdogPeriod)
 	}
@@ -136,6 +136,26 @@ func (s *Scheduler) DefenseMode() DefenseMode {
 		return ModeNormal
 	}
 	return s.defense.mode
+}
+
+// setMode is the only writer of defense.mode. It voids both evidence
+// windows, latches rejoin on arrival in ModeNormal, trusts the probe in
+// ModeNormal and not in ModeSWProbe (ModeStatic lends nothing and leaves
+// it be), and records the move on CPU -1, as a scheduler-wide transition
+// the mode-lattice audit checks: kind is reclaim_escalate going down and
+// defense_recover going up.
+func (s *Scheduler) setMode(m DefenseMode, kind trace.Kind, arg int) {
+	d := s.defense
+	d.mode = m
+	d.misses.Reset()
+	if rc := s.recovery; rc != nil {
+		rc.clean.Reset()
+		rc.rejoined = m == ModeNormal
+	}
+	if p := s.node.Probe; p != nil && m != ModeStatic {
+		p.Enabled = m == ModeNormal
+	}
+	s.node.Tracer.Emit(s.engine.Now(), kind, -1, int64(arg), m.String())
 }
 
 // --- reclaim watchdog -------------------------------------------------------
@@ -177,10 +197,7 @@ func (s *Scheduler) reclaimWatchdog(slot *dpSlot) {
 		if slot.occupant != nil {
 			slot.occupant.ForceExit(vcpu.ExitForced)
 		}
-		timeout := s.defense.cfg.ReclaimTimeout
-		for i := 0; i < slot.wdRetries; i++ {
-			timeout = sim.Duration(float64(timeout) * d.cfg.RetryBackoff)
-		}
+		timeout := sim.Backoff{Base: d.cfg.ReclaimTimeout, Factor: d.cfg.RetryBackoff}.Step(slot.wdRetries)
 		slot.wdEv = s.engine.Schedule(timeout, func() {
 			slot.wdEv = nil
 			s.reclaimWatchdog(slot)
@@ -229,21 +246,10 @@ func (s *Scheduler) noteProbeMiss(slot *dpSlot) {
 		// incrementing here too would double-count the incident.
 		s.FaultsRecovered.Inc()
 	}
-	d.missTimes = append(d.missTimes, now)
-	cutoff := now.Add(-d.cfg.ProbeMissWindow)
-	for len(d.missTimes) > 0 && d.missTimes[0] < cutoff {
-		d.missTimes = d.missTimes[1:]
-	}
-	if len(d.missTimes) >= d.cfg.ProbeMissThreshold && d.mode == ModeNormal {
+	d.misses.Add(now)
+	if n := d.misses.Count(now); n >= d.cfg.ProbeMissThreshold && d.mode == ModeNormal {
 		s.ProbeFallbacks.Inc()
-		d.mode = ModeSWProbe
-		s.node.Probe.Enabled = false
-		// CPU -1: like the static fallback, a scheduler-wide transition.
-		// The mode-lattice audit pairs this against defense_recover rungs.
-		s.node.Tracer.Emit(now, trace.KindReclaimEscalate, -1,
-			int64(len(d.missTimes)), "sw-probe")
-		d.missTimes = nil
-		s.recoveryOnDegrade()
+		s.setMode(ModeSWProbe, trace.KindReclaimEscalate, n)
 	}
 }
 
@@ -254,12 +260,8 @@ func (s *Scheduler) noteProbeMiss(slot *dpSlot) {
 // degrades to the production static-partitioning deployment — reduced CP
 // throughput, but DP SLOs no longer depend on reclaim working.
 func (s *Scheduler) enterStatic() {
-	d := s.defense
-	d.mode = ModeStatic
 	s.StaticFallbacks.Inc()
-	// CPU -1: the fallback is a scheduler-wide decision, not tied to one core.
-	s.node.Tracer.Emit(s.engine.Now(), trace.KindReclaimEscalate, -1,
-		int64(d.teardowns), "static")
+	s.setMode(ModeStatic, trace.KindReclaimEscalate, s.defense.teardowns)
 	for _, id := range s.order {
 		slot := s.slots[id]
 		slot.available = false

@@ -6,6 +6,7 @@ import (
 	"repro/internal/controlplane"
 	"repro/internal/kernel"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // occupiedSlot runs hogs until some DP slot is lent out and returns it.
@@ -153,6 +154,73 @@ func TestStaticFallbackDuringActiveAudit(t *testing.T) {
 	for _, id := range tc.Sched.order {
 		if slot := tc.Sched.slots[id]; slot.occupant != nil || slot.pendingEnter != nil {
 			t.Fatalf("core %d still lent out in static mode", id)
+		}
+	}
+}
+
+// TestSetModeWalksEveryTransition drives each defense-mode transition
+// through its real caller and checks what setMode owns: both evidence
+// windows are emptied, the hardware probe is trusted in ModeNormal,
+// disqualified in ModeSWProbe and left alone in ModeStatic, the rejoin
+// latch is set only on arrival in ModeNormal, and exactly one
+// scheduler-wide record of the right kind, labelled with the new rung,
+// marks the move. Both windows hold an instant before every step, so a
+// transition that forgets to reset one fails here.
+func TestSetModeWalksEveryTransition(t *testing.T) {
+	tc := newTaiChi(77, nil)
+	tc.Sched.EnableDefense(DefenseConfig{ProbeMissThreshold: 1, SchedWatchdogPeriod: 0})
+	tc.Sched.EnableRecovery(RecoveryPolicy{})
+	s := tc.Sched
+	slot := s.slots[s.order[0]]
+
+	for _, step := range []struct {
+		name string
+		do   func()
+		mode DefenseMode
+		kind trace.Kind
+	}{
+		{"normal to sw-probe", func() { s.noteProbeMiss(slot) }, ModeSWProbe, trace.KindReclaimEscalate},
+		{"sw-probe to static", s.enterStatic, ModeStatic, trace.KindReclaimEscalate},
+		{"static to sw-probe", s.tryExitStatic, ModeSWProbe, trace.KindDefenseRecover},
+		{"sw-probe to normal", s.recoverToNormal, ModeNormal, trace.KindDefenseRecover},
+		{"normal to static", s.enterStatic, ModeStatic, trace.KindReclaimEscalate},
+	} {
+		now := tc.Node.Engine.Now()
+		s.defense.misses.Add(now)
+		s.recovery.clean.Add(now)
+		probeBefore := tc.Node.Probe.Enabled
+		recorded := len(tc.Node.Tracer.Events())
+
+		step.do()
+
+		if got := s.DefenseMode(); got != step.mode {
+			t.Fatalf("%s: mode %v, want %v", step.name, got, step.mode)
+		}
+		if n, c := s.defense.misses.Count(now), s.recovery.clean.Count(now); n != 0 || c != 0 {
+			t.Errorf("%s: windows hold %d probe misses and %d clean reclaims, want both empty", step.name, n, c)
+		}
+		wantProbe := probeBefore
+		if step.mode != ModeStatic {
+			wantProbe = step.mode == ModeNormal
+		}
+		if got := tc.Node.Probe.Enabled; got != wantProbe {
+			t.Errorf("%s: probe enabled = %v, want %v", step.name, got, wantProbe)
+		}
+		if got := s.RecoveryStats().Rejoined; got != (step.mode == ModeNormal) {
+			t.Errorf("%s: rejoined = %v on arrival in %v", step.name, got, step.mode)
+		}
+		var moves []trace.Event
+		for _, e := range tc.Node.Tracer.Events()[recorded:] {
+			if e.Kind == trace.KindReclaimEscalate || e.Kind == trace.KindDefenseRecover {
+				moves = append(moves, e)
+			}
+		}
+		if len(moves) != 1 {
+			t.Fatalf("%s: %d mode records, want 1: %v", step.name, len(moves), moves)
+		}
+		if e := moves[0]; e.Kind != step.kind || e.Note != step.mode.String() || e.CPU != -1 {
+			t.Errorf("%s: recorded %v %q on cpu %d, want %v %q on cpu -1",
+				step.name, e.Kind, e.Note, e.CPU, step.kind, step.mode)
 		}
 	}
 }

@@ -161,14 +161,15 @@ type overloadState struct {
 
 	state    OverloadState
 	smoothed float64
-	// escTimes holds watchdog-escalation instants inside the sliding
-	// window.
-	escTimes []sim.Time
+	// enter holds each rung's entry threshold, indexed by rung.
+	enter [OverloadBrownout + 1]float64
+	// escalations holds watchdog-escalation instants inside Window.
+	escalations sim.Window
 	// lastChange is when the ladder last moved; de-escalation waits out
 	// cooldown from here.
 	lastChange sim.Time
 	// cooldown is the dwell the current rung requires before
-	// de-escalating; grows by CooldownFactor per escalation, capped.
+	// de-escalating; one backoff step per escalation.
 	cooldown sim.Duration
 	// peak is the highest rung reached (OverloadStats reporting).
 	peak OverloadState
@@ -197,9 +198,11 @@ func (s *Scheduler) EnableOverload(pol OverloadPolicy) {
 	}
 	pol.applyDefaults()
 	s.overload = &overloadState{
-		pol:      pol,
-		r:        s.node.Stream("core.overload"),
-		cooldown: pol.Cooldown,
+		pol:         pol,
+		r:           s.node.Stream("core.overload"),
+		enter:       [...]float64{OverloadThrottle: pol.EnterThrottle, OverloadShed: pol.EnterShed, OverloadBrownout: pol.EnterBrownout},
+		escalations: sim.Window{Span: pol.Window},
+		cooldown:    pol.Cooldown,
 	}
 	s.armOverloadSample()
 }
@@ -232,7 +235,7 @@ func (s *Scheduler) OverloadStats() OverloadStats {
 // the pressure window (no-op unless the ladder is armed).
 func (s *Scheduler) overloadNoteEscalation() {
 	if ov := s.overload; ov != nil {
-		ov.escTimes = append(ov.escTimes, s.engine.Now())
+		ov.escalations.Add(s.engine.Now())
 	}
 }
 
@@ -273,21 +276,13 @@ func (s *Scheduler) sampleOverload() {
 	if len(s.order) > 0 {
 		sample = float64(busy) / float64(len(s.order))
 	}
-	cutoff := now.Add(-ov.pol.Window)
-	for len(ov.escTimes) > 0 && ov.escTimes[0] < cutoff {
-		ov.escTimes = ov.escTimes[1:]
-	}
-	sample += ov.pol.EscalationWeight * float64(len(ov.escTimes))
+	sample += ov.pol.EscalationWeight * float64(ov.escalations.Count(now))
 	ov.smoothed = ov.pol.SmoothAlpha*sample + (1-ov.pol.SmoothAlpha)*ov.smoothed
 
-	target := OverloadNormal
-	switch {
-	case ov.smoothed >= ov.pol.EnterBrownout:
-		target = OverloadBrownout
-	case ov.smoothed >= ov.pol.EnterShed:
-		target = OverloadShed
-	case ov.smoothed >= ov.pol.EnterThrottle:
-		target = OverloadThrottle
+	// The target is the highest rung whose entry threshold is reached.
+	target := OverloadBrownout
+	for target > OverloadNormal && ov.smoothed < ov.enter[target] {
+		target--
 	}
 
 	switch {
@@ -297,23 +292,10 @@ func (s *Scheduler) sampleOverload() {
 		// Hysteresis: pressure must clear the current rung's entry
 		// threshold by the margin, and the rung's cooldown must have
 		// elapsed, before stepping down one rung.
-		if ov.smoothed < s.overloadEnterThreshold(ov.state)-ov.pol.ExitHysteresis &&
+		if ov.smoothed < ov.enter[ov.state]-ov.pol.ExitHysteresis &&
 			now.Sub(ov.lastChange) >= ov.cooldown {
 			s.overloadDeescalate()
 		}
-	}
-}
-
-// overloadEnterThreshold returns the entry threshold of a rung.
-func (s *Scheduler) overloadEnterThreshold(st OverloadState) float64 {
-	pol := s.overload.pol
-	switch st {
-	case OverloadBrownout:
-		return pol.EnterBrownout
-	case OverloadShed:
-		return pol.EnterShed
-	default:
-		return pol.EnterThrottle
 	}
 }
 
@@ -331,10 +313,7 @@ func (s *Scheduler) overloadEscalate() {
 	// CPU -1: like the defense ladder, a scheduler-wide transition.
 	s.node.Tracer.Emit(ov.lastChange, trace.KindOverloadEnter, -1,
 		int64(ov.state), ov.state.String())
-	ov.cooldown = sim.Duration(float64(ov.cooldown) * ov.pol.CooldownFactor)
-	if ov.cooldown > ov.pol.MaxCooldown {
-		ov.cooldown = ov.pol.MaxCooldown
-	}
+	ov.cooldown = sim.Backoff{Factor: ov.pol.CooldownFactor, Max: ov.pol.MaxCooldown}.Next(ov.cooldown)
 	if ov.state == OverloadBrownout && s.OnBrownout != nil {
 		s.OnBrownout()
 	}

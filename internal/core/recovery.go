@@ -87,12 +87,12 @@ type recoveryState struct {
 	r   *rand.Rand // "core.recovery" stream, created only when armed
 
 	// cooldown is the dwell the *next* static entry will wait before its
-	// exit attempt; grows by CooldownFactor per entry, capped.
+	// exit attempt; one backoff step per entry.
 	cooldown   sim.Duration
 	cooldownEv *sim.Event
-	// cleanTimes holds clean-reclaim instants inside the probation window
+	// clean holds clean-reclaim instants inside the probation window
 	// while in ModeSWProbe.
-	cleanTimes []sim.Time
+	clean sim.Window
 	// generation counts static exits — the recovery "incarnation" carried
 	// by defense_recover / node_rejoin trace events.
 	generation int
@@ -133,6 +133,7 @@ func (s *Scheduler) EnableRecovery(pol RecoveryPolicy) {
 		pol:      pol,
 		r:        s.node.Stream("core.recovery"),
 		cooldown: pol.Cooldown,
+		clean:    sim.Window{Span: pol.ProbationWindow},
 	}
 }
 
@@ -151,18 +152,6 @@ func (s *Scheduler) RecoveryStats() RecoveryStats {
 	}
 }
 
-// recoveryOnDegrade opens a degradation episode (any departure from
-// ModeNormal): it clears the rejoin latch and voids any probation
-// progress.
-func (s *Scheduler) recoveryOnDegrade() {
-	rc := s.recovery
-	if rc == nil {
-		return
-	}
-	rc.rejoined = false
-	rc.cleanTimes = nil
-}
-
 // recoveryOnStatic schedules the (jittered, exponentially growing)
 // cooldown that will attempt the static exit. Called at every static
 // entry.
@@ -171,7 +160,6 @@ func (s *Scheduler) recoveryOnStatic() {
 	if rc == nil {
 		return
 	}
-	s.recoveryOnDegrade()
 	if rc.generation > 0 {
 		// The node recovered before and fell back again: flapping.
 		s.Reescalations.Inc()
@@ -185,10 +173,7 @@ func (s *Scheduler) recoveryOnStatic() {
 		s.tryExitStatic()
 	})
 	// Next static episode dwells longer — a flapping node settles static.
-	rc.cooldown = sim.Duration(float64(rc.cooldown) * rc.pol.CooldownFactor)
-	if rc.cooldown > rc.pol.MaxCooldown {
-		rc.cooldown = rc.pol.MaxCooldown
-	}
+	rc.cooldown = sim.Backoff{Factor: rc.pol.CooldownFactor, Max: rc.pol.MaxCooldown}.Next(rc.cooldown)
 }
 
 // recoveryOnEscalation voids probation progress: a watchdog firing means
@@ -196,7 +181,7 @@ func (s *Scheduler) recoveryOnStatic() {
 // accumulating from scratch.
 func (s *Scheduler) recoveryOnEscalation() {
 	if rc := s.recovery; rc != nil {
-		rc.cleanTimes = nil
+		rc.clean.Reset()
 	}
 }
 
@@ -210,19 +195,11 @@ func (s *Scheduler) tryExitStatic() {
 		return
 	}
 	rc.generation++
-	d.mode = ModeSWProbe
 	d.teardowns = 0
-	d.missTimes = nil
-	rc.cleanTimes = nil
-	if s.node.Probe != nil {
-		// The hardware probe stays disqualified on the probation rung;
-		// only the full ModeNormal promotion re-trusts it.
-		s.node.Probe.Enabled = false
-	}
 	s.DefenseRecoveries.Inc()
-	// CPU -1: like the static fallback, a scheduler-wide transition.
-	s.node.Tracer.Emit(s.engine.Now(), trace.KindDefenseRecover, -1,
-		int64(rc.generation), "sw-probe")
+	// The hardware probe stays disqualified on the probation rung; only
+	// the full ModeNormal promotion re-trusts it.
+	s.setMode(ModeSWProbe, trace.KindDefenseRecover, rc.generation)
 	s.reconcile()
 }
 
@@ -242,12 +219,8 @@ func (s *Scheduler) noteCleanReclaim(slot *dpSlot) {
 		return
 	}
 	now := s.engine.Now()
-	rc.cleanTimes = append(rc.cleanTimes, now)
-	cutoff := now.Add(-rc.pol.ProbationWindow)
-	for len(rc.cleanTimes) > 0 && rc.cleanTimes[0] < cutoff {
-		rc.cleanTimes = rc.cleanTimes[1:]
-	}
-	if len(rc.cleanTimes) >= rc.pol.ProbationReclaims {
+	rc.clean.Add(now)
+	if rc.clean.Count(now) >= rc.pol.ProbationReclaims {
 		s.recoverToNormal()
 	}
 }
@@ -259,16 +232,8 @@ func (s *Scheduler) recoverToNormal() {
 	if d == nil || rc == nil || d.mode != ModeSWProbe {
 		return
 	}
-	d.mode = ModeNormal
-	d.missTimes = nil
-	rc.cleanTimes = nil
-	if s.node.Probe != nil {
-		s.node.Probe.Enabled = true
-	}
-	rc.rejoined = true
 	s.DefenseRecoveries.Inc()
-	now := s.engine.Now()
-	s.node.Tracer.Emit(now, trace.KindDefenseRecover, -1, int64(rc.generation), "normal")
-	s.node.Tracer.Emit(now, trace.KindNodeRejoin, -1, int64(rc.generation), "")
+	s.setMode(ModeNormal, trace.KindDefenseRecover, rc.generation)
+	s.node.Tracer.Emit(s.engine.Now(), trace.KindNodeRejoin, -1, int64(rc.generation), "")
 	s.reconcile()
 }
